@@ -42,10 +42,6 @@ from repro.simulator import ENGINE_MODES
 
 from benchmarks.harness import emit_table
 
-#: Serial engine modes the serving monitor accepts (sharded cannot serve
-#: in-process queries); kept in sync with the registry by construction.
-SERVING_MODES = tuple(mode for mode in ENGINE_MODES if mode != "sharded")
-
 #: The two churn models.  ``flicker`` is the paper's Section 1.3 gadget
 #: embedded in a large quiet network (the incremental-serving sweet spot:
 #: almost every subscription settles and gets skipped); ``p2p`` is
@@ -185,8 +181,8 @@ def run_slo(smoke: bool = False) -> Dict:
     divergences: List[str] = []
     for workload in workloads:
         for count in workload["counts"]:
-            per_mode = {mode: run_cell(workload, count, mode) for mode in SERVING_MODES}
-            reference = per_mode[SERVING_MODES[0]]
+            per_mode = {mode: run_cell(workload, count, mode) for mode in ENGINE_MODES}
+            reference = per_mode[ENGINE_MODES[0]]
             for mode, entry in per_mode.items():
                 if entry["comparable"] != reference["comparable"]:
                     identical = False
@@ -271,12 +267,12 @@ def check_acceptance(report: Dict) -> List[str]:
 # --------------------------------------------------------------------- #
 # pytest entry points (run with --benchmark-only like the other benches)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("mode", SERVING_MODES)
+@pytest.mark.parametrize("mode", ENGINE_MODES)
 def test_smoke_identity(benchmark, mode):
     workload = _SMOKE_WORKLOADS[0]
     entry = benchmark.pedantic(run_cell, args=(workload, 10, mode), rounds=1, iterations=1)
     assert entry["evaluated"] > 0
-    reference = run_cell(workload, 10, SERVING_MODES[0])
+    reference = run_cell(workload, 10, ENGINE_MODES[0])
     assert entry["comparable"] == reference["comparable"]
 
 

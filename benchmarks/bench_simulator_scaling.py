@@ -1,18 +1,12 @@
-"""E12 -- Figure 1 substrate: simulator throughput, serial vs. process-parallel.
+"""E12 -- Figure 1 substrate: simulator throughput across network sizes.
 
 Not a paper experiment, but the substrate every other experiment stands on:
 this bench measures wall-clock throughput (simulated rounds per second) of the
-serial round engine across network sizes, and compares the serial engine with
-the sharded (multi-process) engine on the same workload so the trade-off
-(pickling overhead vs. parallel node phases) is documented with numbers.
-
-Every configuration is one campaign cell (``engine`` is a spec field), so the
-serial-vs-sharded comparison is just a grid axis.
+default round engine across network sizes.  Every configuration is one
+campaign cell, so the size sweep is just a grid axis.
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 
@@ -30,38 +24,21 @@ _BASE = {
     "adversary_params": {"inserts_per_round": 3, "deletes_per_round": 2},
 }
 
-_CONFIGS = [{"engine": "serial", "n": n} for n in (32, 64, 128)]
-if sys.platform.startswith("linux"):
-    _CONFIGS += [{"engine": "sharded", "n": 96, "num_workers": w} for w in (2, 4)]
+SIZES = [32, 64, 128]
 
 CAMPAIGN = CampaignSpec(
     name="E12_simulator_scaling",
     base=_BASE,
-    grid={"config": _CONFIGS},
+    grid={"n": SIZES},
 )
 
 
-def _label(cell: ExperimentSpec) -> str:
-    if cell.engine == "serial":
-        return f"serial n={cell.n}"
-    return f"sharded n={cell.n} workers={cell.num_workers}"
-
-
-@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("n", SIZES)
 def test_serial_engine_throughput(benchmark, n):
-    spec = ExperimentSpec.from_dict({**_BASE, "engine": "serial", "n": n})
+    spec = ExperimentSpec.from_dict({**_BASE, "n": n})
     metrics, _ = benchmark.pedantic(run_cell, args=(spec,), rounds=1, iterations=1)
     benchmark.extra_info["rounds_simulated"] = metrics["rounds_executed"]
     benchmark.extra_info["envelopes"] = metrics["total_envelopes"]
-    assert metrics["rounds_executed"] == ROUNDS
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork start method required")
-@pytest.mark.parametrize("workers", [2, 4])
-def test_sharded_engine_throughput(benchmark, workers):
-    spec = ExperimentSpec.from_dict({**_BASE, "engine": "sharded", "n": 96, "num_workers": workers})
-    metrics, _ = benchmark.pedantic(run_cell, args=(spec,), rounds=1, iterations=1)
-    benchmark.extra_info["rounds_simulated"] = metrics["rounds_executed"]
     assert metrics["rounds_executed"] == ROUNDS
 
 
@@ -78,7 +55,7 @@ def _emit_table_impl():
         elapsed = record["duration_s"]
         rows.append(
             [
-                _label(cell),
+                f"{cell.engine_mode} n={cell.n}",
                 int(metrics["rounds_executed"]),
                 int(metrics["total_envelopes"]),
                 round(elapsed, 3),
@@ -90,7 +67,7 @@ def _emit_table_impl():
         "E12_simulator_scaling",
         ["configuration", "rounds", "envelopes", "wall-clock s", "rounds / s"],
         rows,
-        claim="substrate only: throughput of the Figure 1 round engine (serial vs. sharded)",
+        claim="substrate only: throughput of the Figure 1 round engine",
     )
 
 

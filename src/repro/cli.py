@@ -18,7 +18,7 @@ Installed as the ``repro-dynamic-subgraphs`` console script.  Three modes:
       repro-dynamic-subgraphs campaign --spec sweep.json --jobs 4
 
 * the ``verify`` subcommand differentially verifies every unique cell of a
-  sweep spec across the dense, sparse, sharded and columnar engines, running
+  sweep spec across the dense, sparse and columnar engines, running
   every applicable registered check and reporting structured divergences::
 
       repro-dynamic-subgraphs verify --spec sweep.json
@@ -482,9 +482,8 @@ def build_verify_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", type=Path, required=True, help="campaign spec JSON file")
     parser.add_argument(
         "--modes",
-        default="dense,sparse,sharded,columnar",
-        help="comma-separated engine modes to compare "
-        "(default: dense,sparse,sharded,columnar)",
+        default="dense,sparse,columnar",
+        help="comma-separated engine modes to compare (default: dense,sparse,columnar)",
     )
     parser.add_argument(
         "--limit", type=int, default=None, help="verify at most this many unique cells"
@@ -622,7 +621,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "--modes",
         default="dense,sparse",
         help="comma-separated engine modes each cell is compared across "
-        "(default: dense,sparse; add sharded/columnar for full coverage). "
+        "(default: dense,sparse; add columnar for full coverage). "
         "--replay ignores this: each corpus entry replays under the modes "
         "it was recorded with",
     )
@@ -819,7 +818,7 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         description="Inspect the telemetry a campaign collected. "
         "'report' merges every cell's final snapshot into one hotspot table: "
         "span cumulative times (sorted hottest first), histogram percentiles "
-        "and counters, across engines (coordinator and shard workers), "
+        "and counters, across engines, "
         "oracle, monitor and fuzz driver. "
         "'trace' merges the per-cell trace-event JSONL files into one Chrome "
         "trace-event JSON, loadable in Perfetto (https://ui.perfetto.dev) or "
@@ -1075,10 +1074,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=[mode for mode in sorted(ENGINE_MODES) if mode != "sharded"],
+        choices=sorted(ENGINE_MODES),
         default="sparse",
-        help="serial round scheduler (the process-parallel 'sharded' engine "
-        "cannot serve in-process queries and is rejected)",
+        help="round scheduler; all produce identical results",
     )
     parser.add_argument(
         "--subscriptions",

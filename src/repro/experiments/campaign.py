@@ -1,13 +1,12 @@
 """Parallel execution of an expanded experiment campaign.
 
 :func:`run_cell` executes one :class:`~repro.experiments.spec.ExperimentSpec`
-(serial or sharded engine) and returns its metrics plus the realized
+and returns its metrics plus the realized
 :class:`~repro.simulator.trace.TopologyTrace`.  :class:`CampaignRunner`
 expands a :class:`~repro.experiments.spec.CampaignSpec`, dispatches the
-pending cells one at a time to persistent worker processes (the same
-process-and-pipe idiom as
-:class:`~repro.simulator.parallel.ShardedRoundEngine`) and streams every
-finished cell straight into a :class:`~repro.experiments.store.ResultStore`.
+pending cells one at a time to persistent worker processes over pipes and
+streams every finished cell straight into a
+:class:`~repro.experiments.store.ResultStore`.
 
 The dispatch pool is *supervised*: a worker that dies mid-cell (OOM kill,
 segfault, ``kill -9``) is detected the moment its pipe closes, the cell is
@@ -40,16 +39,12 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..faults.models import build_fault_plan
 from ..obs.sink import TelemetrySink, write_supervision_snapshot
 from ..obs.report import load_final_snapshot, merge_snapshots
 from ..obs.telemetry import TELEMETRY
 from ..obs.tracing import DEFAULT_TRACE_CAPACITY, TraceBuffer, write_trace_jsonl
-from ..simulator.bandwidth import BandwidthPolicy
-from ..simulator.parallel import ShardedRoundEngine
-from ..simulator.runner import drive_engine
-from ..simulator.trace import TopologyTrace, TraceRecordingAdversary
-from .registry import ALGORITHMS, build_adversary
+from ..simulator.trace import TopologyTrace
+from .registry import build_adversary
 from .spec import CampaignSpec, ExperimentSpec
 from .store import ResultStore
 
@@ -107,9 +102,6 @@ def _run_cell_full(
         seed=spec.seed,
         params=spec.adversary_params,
     )
-    if spec.engine == "sharded":
-        return _run_sharded(spec, adversary)
-
     # Deferred import: repro.verification.differential itself imports this
     # package, so binding it at call time keeps initialization acyclic.
     from ..verification.differential import run_reference
@@ -143,42 +135,6 @@ def _run_cell_full(
     return metrics, result.trace, fingerprint
 
 
-def _run_sharded(
-    spec, adversary
-) -> Tuple[Dict[str, float], Optional[TopologyTrace], str]:
-    faults = build_fault_plan(
-        spec.faults, n=spec.n, seed=spec.seed, params=spec.fault_params
-    )
-    if faults is not None and faults.affects_topology:
-        # Same wrap order as SimulationRunner: the overlay masks the logical
-        # schedule, and trace recording (below) wraps *outside* it so the
-        # recorded trace is the physical post-fault schedule.
-        from ..faults.overlay import FaultOverlayAdversary
-
-        adversary = FaultOverlayAdversary(adversary, spec.n, faults)
-    if spec.record_trace:
-        adversary = TraceRecordingAdversary(adversary, spec.n)
-    bandwidth = BandwidthPolicy(factor=spec.bandwidth_factor, strict=spec.strict_bandwidth)
-    with ShardedRoundEngine(
-        spec.n,
-        ALGORITHMS[spec.algorithm],
-        num_workers=spec.num_workers,
-        bandwidth=bandwidth,
-        mode=spec.engine_mode,
-        faults=faults,
-    ) as engine:
-        drive_engine(engine, adversary, num_rounds=spec.rounds, drain=spec.drain)
-        metrics = dict(engine.metrics.summary())
-        for key, value in engine.bandwidth.summary(spec.n).items():
-            metrics[f"bandwidth_{key}"] = float(value)
-        metrics["final_edges"] = float(engine.network.num_edges)
-        if faults is not None:
-            metrics.update({key: float(v) for key, v in faults.stats.items()})
-        fingerprint = _combined_fingerprint(engine.state_fingerprints())
-    trace = adversary.trace if isinstance(adversary, TraceRecordingAdversary) else None
-    return metrics, trace, fingerprint
-
-
 def execute_cell(
     spec: ExperimentSpec,
     *,
@@ -201,8 +157,7 @@ def execute_cell(
     rides back on the record (``record["telemetry"]``) so campaign workers
     ship their telemetry to the coordinator over the existing result pipe.
     With ``trace_events`` additionally set, stage-level trace events are
-    collected into a bounded ring (including sharded-engine worker events,
-    merged at engine shutdown) and written to
+    collected into a bounded ring and written to
     ``<telemetry_dir>/<cell_id>.trace.jsonl`` for ``telemetry trace`` export.
     Telemetry and tracing are read-only bookkeeping: the produced record,
     trace and state fingerprint are bit-identical with and without them
@@ -416,9 +371,7 @@ class CampaignRunner:
             requested method is unavailable on this platform the runner falls
             back to ``spawn`` (the worker target and its arguments are
             spawn-safe: a module-level function fed plain spec dicts), and
-            only runs inline when no start method is available at all.  The
-            workers are *not* daemonic, so cells using the sharded engine can
-            spawn their own shard processes.
+            only runs inline when no start method is available at all.
         telemetry: collect per-cell telemetry snapshots into the store's
             ``telemetry/`` directory.  ``None`` (the default) defers to the
             campaign spec's ``telemetry`` settings; ``True``/``False`` force

@@ -2,7 +2,7 @@
 
 An :class:`ExperimentSpec` describes one simulation cell -- algorithm,
 adversary (with parameters), network size, round budget, seed, bandwidth
-policy, engine and end-of-run checks -- as plain data that round-trips
+policy, engine mode and end-of-run checks -- as plain data that round-trips
 through ``dict``/JSON.  A :class:`CampaignSpec` describes a whole sweep: a
 ``base`` cell plus a ``grid`` of axes whose cartesian product (times the
 ``seeds`` list) expands into the concrete cells.
@@ -41,7 +41,11 @@ from .registry import ADVERSARIES, ALGORITHMS, CHECKS
 
 __all__ = ["ExperimentSpec", "CampaignSpec"]
 
-_ENGINES = ("serial", "sharded")
+#: Fields an older schema had, with the only values every surviving spec
+#: implies.  The canonical form keeps them so ``spec_hash`` and ``cell_id``
+#: of stored results are unchanged; :meth:`ExperimentSpec.from_dict` accepts
+#: them on input.
+_LEGACY_FIELDS: Dict[str, Any] = {"engine": "serial", "num_workers": 2}
 
 
 @dataclass
@@ -61,19 +65,15 @@ class ExperimentSpec:
         strict_bandwidth: whether exceeding the budget raises.
         drain: whether to run quiet rounds until all nodes are consistent
             after the adversary finishes.
-        engine: ``"serial"`` (:class:`~repro.simulator.runner.SimulationRunner`)
-            or ``"sharded"`` (:class:`~repro.simulator.parallel.ShardedRoundEngine`).
         engine_mode: round-scheduling mode, ``"sparse"`` (default;
             activity-proportional, only active nodes are visited),
             ``"dense"`` (every node every round) or ``"columnar"``
             (activity-proportional plus batched struct-of-arrays message
-            routing; serial engine only).  All modes produce bit-identical
-            metrics and traces, so this axis is safe to sweep for
-            performance studies.
-        num_workers: shard-process count for the sharded engine.
+            routing).  All modes produce bit-identical metrics and traces,
+            so this axis is safe to sweep for performance studies.
         record_trace: record the realized schedule for exact replay.
         checks: names of end-of-run checks (see
-            :data:`~repro.experiments.registry.CHECKS`); serial engine only.
+            :data:`~repro.experiments.registry.CHECKS`).
         faults: fault-model name (see :data:`~repro.faults.models.FAULTS`) or
             ``"none"``.  A sweepable axis like any other: the model's
             schedule is a pure function of this spec's seed, so every engine
@@ -91,9 +91,7 @@ class ExperimentSpec:
     bandwidth_factor: int = 8
     strict_bandwidth: bool = True
     drain: bool = True
-    engine: str = "serial"
     engine_mode: str = "sparse"
-    num_workers: int = 2
     record_trace: bool = True
     checks: Tuple[str, ...] = ()
     faults: str = FAULT_NONE
@@ -121,33 +119,18 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown adversary {self.adversary!r}; choose from {sorted(ADVERSARIES)}"
             )
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.engine_mode not in ENGINE_MODES:
             raise ValueError(
                 f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
-            )
-        if self.engine == "sharded" and self.engine_mode == "columnar":
-            raise ValueError(
-                "engine_mode='columnar' requires engine='serial': the columnar "
-                "engine batches across the whole node population and has no "
-                "sharded counterpart"
             )
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.rounds is not None and self.rounds < 0:
             raise ValueError("rounds must be non-negative")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be positive")
         unknown_checks = [c for c in self.checks if c not in CHECKS]
         if unknown_checks:
             raise ValueError(
                 f"unknown checks {unknown_checks}; choose from {sorted(CHECKS)}"
-            )
-        if self.checks and self.engine != "serial":
-            raise ValueError(
-                "end-of-run checks need access to the node instances and are "
-                "only supported with engine='serial'"
             )
         # Reject inapplicable checks at spec-validation time rather than
         # mid-campaign: a check that only understands certain algorithms or
@@ -202,14 +185,29 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Build a spec from a dict, rejecting unknown keys."""
+        """Build a spec from a dict, rejecting unknown keys.
+
+        The legacy ``engine`` and ``num_workers`` keys are accepted and
+        dropped, as long as ``engine`` is ``"serial"``: the process-parallel
+        ``"sharded"`` engine was removed, and a spec asking for it is an
+        error rather than silently running in-process.
+        """
+        data = dict(data)
+        engine = data.pop("engine", "serial")
+        if engine != "serial":
+            raise ValueError(
+                f"engine {engine!r} is no longer supported: the sharded engine "
+                "was removed and every cell runs in-process; drop the 'engine' "
+                f"field and pick a round scheduler with engine_mode {ENGINE_MODES}"
+            )
+        data.pop("num_workers", None)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"unknown ExperimentSpec fields {sorted(unknown)}; known: {sorted(known)}"
             )
-        return cls(**deepcopy(dict(data)))
+        return cls(**deepcopy(data))
 
     @property
     def spec_hash(self) -> str:
@@ -219,9 +217,11 @@ class ExperimentSpec:
         readability; result records store the full hash so campaign resume
         can prove a stored result really belongs to the cell it is about to
         skip (truncated ids can collide across very large or long-lived
-        stores, and hand-edited stores can lie).
+        stores, and hand-edited stores can lie).  The hashed form adds the
+        legacy ``engine``/``num_workers`` fields at their old defaults, so
+        ids of results stored under the older schema still match.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        canonical = json.dumps({**self.to_dict(), **_LEGACY_FIELDS}, sort_keys=True)
         return hashlib.sha1(canonical.encode()).hexdigest()
 
     @property
@@ -312,7 +312,8 @@ class CampaignSpec:
         Returns the cells in deterministic order: the cartesian product walks
         the axes in insertion order, with the seed axis last.
         """
-        spec_fields = {f.name for f in fields(ExperimentSpec)}
+        # Legacy field names stay plain axes so from_dict can judge them.
+        spec_fields = {f.name for f in fields(ExperimentSpec)} | set(_LEGACY_FIELDS)
         axes = list(self.grid.items())
         implicit_seed = "seed" not in self.grid
         if implicit_seed:

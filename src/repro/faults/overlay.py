@@ -16,9 +16,9 @@ Consequences, all deliberate:
 * A crashed node *receives its edge-delete indications* -- the network tears
   the links, exactly like every other topology change in the model.  There
   is no fail-silent state below the topology layer.
-* Recorded traces (and therefore the differential harness and the sharded
-  engine's coordinator) see the **physical** schedule, so all three engines
-  replay the identical graph without knowing faults exist.
+* Recorded traces (and therefore the differential harness) see the
+  **physical** schedule, so all three engines replay the identical graph
+  without knowing faults exist.
 * The fuzzer's scripted twins re-derive the physical schedule from the
   *logical* one: ``materialize_trace`` regenerates the logical schedule and
   the spec's fault fields rebuild the same overlay on top.

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..experiments.spec import ExperimentSpec
+from ..simulator.rounds import ENGINE_MODES
 from .signature import FailureSignature, evaluate_spec, trace_fingerprint
 
 __all__ = ["CorpusEntry", "CorpusStore", "ReplayOutcome"]
@@ -66,6 +67,9 @@ class CorpusEntry:
         if self.expect not in _EXPECTS:
             raise ValueError(f"expect must be one of {_EXPECTS}, got {self.expect!r}")
         self.modes = tuple(self.modes)
+        unknown = [mode for mode in self.modes if mode not in ENGINE_MODES]
+        if unknown:
+            raise ValueError(f"unknown engine modes {unknown}; choose from {ENGINE_MODES}")
 
     @property
     def entry_id(self) -> str:

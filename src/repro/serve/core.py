@@ -10,16 +10,12 @@ ingested batch, and exposes typed query helpers returning
 It deliberately knows nothing about *where* batches come from (that is the
 ingestion layer, :mod:`repro.serve.ingest`) or *who* is asking (standing
 queries live in :mod:`repro.serve.subscriptions`); an application that wants
-the old synchronous surface uses the
-:class:`~repro.monitor.DynamicGraphMonitor` facade, which is this class under
-its historical name.
+a synchronous surface calls :meth:`ServingMonitor.update` and the query
+helpers directly.
 
-The monitor rides any *serial* engine mode -- ``"dense"``, ``"sparse"``
-(default) or ``"columnar"`` -- and produces bit-identical answers, metrics
-and state fingerprints under all three.  The process-parallel ``"sharded"``
-engine is rejected at construction: it forks worker processes that own the
-node state, so in-process queries against ``self.nodes`` would silently read
-stale coordinator-side copies.
+The monitor rides any engine mode -- ``"dense"``, ``"sparse"`` (default) or
+``"columnar"`` -- and produces bit-identical answers, metrics and state
+fingerprints under all three.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from ..simulator import (
     RoundRecord,
     create_engine,
 )
-from ..simulator.rounds import ENGINE_MODES
 
 __all__ = ["MonitorAnswer", "ServingMonitor", "STRUCTURES"]
 
@@ -106,10 +101,7 @@ class ServingMonitor:
         strict_bandwidth: raise if a message exceeds the budget (default).
         engine_mode: ``"sparse"`` (default, activity-proportional rounds),
             ``"dense"`` (reference scheduler) or ``"columnar"`` (vectorized
-            message routing); identical results under all three.  The
-            process-parallel ``"sharded"`` engine is rejected here -- it moves
-            node state into worker processes, where in-process queries cannot
-            reach it.
+            message routing); identical results under all three.
     """
 
     def __init__(
@@ -121,12 +113,6 @@ class ServingMonitor:
         strict_bandwidth: bool = True,
         engine_mode: str = "sparse",
     ) -> None:
-        if engine_mode == "sharded":
-            raise ValueError(
-                "the monitor answers queries from in-process node state, but the "
-                "'sharded' engine moves that state into forked worker processes; "
-                f"choose one of the serial engine modes {ENGINE_MODES}"
-            )
         if isinstance(structure, str):
             try:
                 factory = STRUCTURES[structure]

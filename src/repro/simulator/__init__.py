@@ -13,9 +13,9 @@ The public surface is:
   :class:`EdgeDelete` -- the ground-truth dynamic graph and its change events.
 * :class:`NodeAlgorithm` -- the per-node algorithm interface.
 * :class:`RoundEngine` / :class:`SparseRoundEngine` /
-  :class:`ColumnarRoundEngine` / :class:`ShardedRoundEngine` -- dense,
-  activity-proportional, vectorized and process-parallel round execution
-  (see also :class:`QuiescenceProtocol` and :class:`ColumnarProtocol`).
+  :class:`ColumnarRoundEngine` -- dense, activity-proportional and
+  vectorized round execution (see also :class:`QuiescenceProtocol` and
+  :class:`ColumnarProtocol`).
 * :class:`SimulationRunner` / :class:`SimulationResult` -- end-to-end
   orchestration of an adversary against an algorithm.
 * :class:`BandwidthPolicy`, :class:`MetricsCollector` -- bandwidth and
@@ -48,7 +48,6 @@ from .node import (
     canonical_state,
     state_fingerprint,
 )
-from .parallel import ShardedRoundEngine, shard_nodes
 from .rounds import (
     ENGINE_MODES,
     MessageTargetError,
@@ -95,8 +94,6 @@ __all__ = [
     "RoundRecord",
     "RoundValidator",
     "SendBuffer",
-    "ShardedRoundEngine",
-    "shard_nodes",
     "state_fingerprint",
     "SimulationResult",
     "SimulationRunner",

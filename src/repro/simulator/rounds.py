@@ -416,8 +416,7 @@ class SparseRoundEngine(RoundEngine):
                     bits_sent += size
                     # The sender stays scheduled next round even when its
                     # envelope is lost (it *sent*; the drop happens in
-                    # flight), matching the dense engine's dense schedule and
-                    # the sharded workers' sender-side accounting.
+                    # flight), matching the dense engine's dense schedule.
                     sent_now.add(v)
                     if drops and faults.message_dropped(round_index, v, target):
                         continue

@@ -112,11 +112,10 @@ def drive_engine(
     """Drive any round engine against an adversary; returns rounds executed.
 
     Works with every object exposing the round-engine surface (``network``,
-    ``all_consistent``, ``execute_round``, ``execute_quiet_round``) -- both
-    :class:`~repro.simulator.rounds.RoundEngine` and
-    :class:`~repro.simulator.parallel.ShardedRoundEngine`.  ``after_round``
-    runs after every executed round, including drain rounds (the runner hooks
-    its validators here).
+    ``all_consistent``, ``execute_round``, ``execute_quiet_round``), i.e.
+    every engine :func:`~repro.simulator.rounds.create_engine` builds.
+    ``after_round`` runs after every executed round, including drain rounds
+    (the runner hooks its validators here).
     """
     if num_rounds is None and not hasattr(adversary, "is_done"):
         raise ValueError("num_rounds is required for open-ended adversaries")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .adversary import Adversary, AdversaryView
 from .events import RoundChanges
@@ -119,14 +119,28 @@ class TopologyTrace:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "TopologyTrace":
-        trace = cls(n=int(data["n"]))
-        for entry in data["rounds"]:
+    def from_dict(cls, data: Any) -> "TopologyTrace":
+        """Rebuild a trace from :meth:`to_dict` output.
+
+        The shape is validated here, where traces enter the program: a
+        mapping with an integer ``n`` and a ``rounds`` list whose entries
+        are mappings with ``insert`` and ``delete`` lists of edges, each
+        edge two distinct integers.  Anything else raises ``ValueError``
+        naming the offending round.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a trace must be a JSON object, got {type(data).__name__}")
+        n, rounds = data.get("n"), data.get("rounds")
+        if not _is_int(n):
+            raise ValueError(f"trace 'n' must be an integer, got {n!r}")
+        if not isinstance(rounds, (list, tuple)):
+            raise ValueError(f"trace 'rounds' must be a list, got {type(rounds).__name__}")
+        trace = cls(n=n)
+        for index, entry in enumerate(rounds, start=1):
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"trace round {index} must be an object, got {entry!r}")
             trace.rounds.append(
-                (
-                    [tuple(int(x) for x in e) for e in entry["insert"]],
-                    [tuple(int(x) for x in e) for e in entry["delete"]],
-                )
+                (_edges(entry, "insert", index), _edges(entry, "delete", index))
             )
         return trace
 
@@ -137,7 +151,34 @@ class TopologyTrace:
     @classmethod
     def load(cls, path: str | Path) -> "TopologyTrace":
         """Read a trace previously written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _edges(entry: Mapping, key: str, index: int) -> List[Tuple[int, int]]:
+    """The ``key`` edge list of round ``index``, validated."""
+    if key not in entry:
+        raise ValueError(f"trace round {index} has no {key!r} list")
+    edges = entry[key]
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"trace round {index}: {key!r} must be a list, got {edges!r}")
+    for edge in edges:
+        if not (
+            isinstance(edge, (list, tuple))
+            and len(edge) == 2
+            and all(_is_int(x) for x in edge)
+            and edge[0] != edge[1]
+        ):
+            raise ValueError(
+                f"trace round {index}: {key!r} edge {edge!r} is not two distinct integers"
+            )
+    return [tuple(edge) for edge in edges]
 
 
 class TraceRecordingAdversary(Adversary):

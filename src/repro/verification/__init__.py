@@ -10,7 +10,7 @@ The reproduction's correctness story has two legs:
   experiment-campaign subsystem and the CLI.
 * **Differential runs** (:mod:`repro.verification.differential`) -- executing
   the same :class:`~repro.experiments.spec.ExperimentSpec` under the dense,
-  sparse and sharded engines and asserting bit-identity of round records,
+  sparse and columnar engines and asserting bit-identity of round records,
   traces, summary metrics and final node state, with structured
   :class:`~repro.verification.differential.Divergence` reports (first
   divergent round, node, field).

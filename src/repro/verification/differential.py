@@ -1,9 +1,8 @@
 """Cross-engine differential verification of experiment cells.
 
-The repo ships four round schedulers -- the dense reference engine, the
-activity-proportional sparse engine, the multi-process sharded engine, and
-the vectorized columnar engine -- that are required to be **bit-identical**:
-same
+The repo ships three round schedulers -- the dense reference engine, the
+activity-proportional sparse engine and the vectorized columnar engine --
+that are required to be **bit-identical**: same
 :class:`~repro.simulator.metrics.RoundRecord` stream, same realized topology
 trace, same summary metrics, and same final per-node state.  This module
 turns that requirement into an executable check:
@@ -22,9 +21,8 @@ turns that requirement into an executable check:
   campaign grid did not exercise, so a verify run always executes the whole
   checks registry.
 
-Final-state identity uses
-:meth:`~repro.simulator.node.NodeAlgorithm.state_fingerprint` digests, which
-the sharded engine gathers from its workers without shipping node objects.
+Final-state identity uses per-node
+:meth:`~repro.simulator.node.NodeAlgorithm.state_fingerprint` digests.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..experiments.registry import ALGORITHMS, build_adversary
 from ..experiments.spec import CampaignSpec, ExperimentSpec
 from ..faults.models import FAULT_NONE, build_fault_plan
-from ..faults.overlay import FaultOverlayAdversary
 from ..obs.telemetry import TELEMETRY
-from ..simulator.bandwidth import BandwidthPolicy
 from ..simulator.metrics import RoundRecord
-from ..simulator.parallel import ShardedRoundEngine
-from ..simulator.runner import SimulationRunner, drive_engine
-from ..simulator.trace import TopologyTrace, TraceRecordingAdversary
+from ..simulator.rounds import ENGINE_MODES
+from ..simulator.runner import SimulationRunner
+from ..simulator.trace import TopologyTrace
 from .checks import (
     CHECKS,
     CheckFailure,
@@ -65,10 +61,7 @@ __all__ = [
 ]
 
 #: The engine modes a differential run compares by default.
-DEFAULT_MODES: Tuple[str, ...] = ("dense", "sparse", "sharded", "columnar")
-
-#: Modes executed in-process through :func:`run_reference`.
-_SERIAL_MODES = ("dense", "sparse", "columnar")
+DEFAULT_MODES: Tuple[str, ...] = ENGINE_MODES
 
 #: RoundRecord fields compared per round, in report order.
 _RECORD_FIELDS = (
@@ -196,7 +189,7 @@ def run_reference(
     record_trace: bool = True,
     adversary=None,
 ):
-    """Run one cell on the serial engine with full introspection.
+    """Run one cell in-process with full introspection.
 
     Returns ``(result, outcomes)`` where ``result`` is the
     :class:`~repro.simulator.runner.SimulationResult` (with a recorded trace
@@ -239,64 +232,23 @@ def _summary_of(metrics, bandwidth, n: int, num_edges: int) -> Dict[str, float]:
 def _run_mode(
     spec: ExperimentSpec, mode: str, checks: Sequence[str]
 ) -> Tuple[ModeRun, Dict[str, CheckOutcome]]:
-    if mode in _SERIAL_MODES:
-        result, outcomes = run_reference(spec, engine_mode=mode, checks=checks)
-        fingerprints = {v: algo.state_fingerprint() for v, algo in result.nodes.items()}
-        summary = _summary_of(
-            result.metrics, result.bandwidth, spec.n, result.network.num_edges
-        )
-        if result.faults is not None:
-            # Fault statistics (drops, resets, masked edges) join the gated
-            # summary: every engine mode must realize the identical fault
-            # schedule, not just identical records.
-            summary.update(
-                {key: float(v) for key, v in result.faults.stats.items()}
-            )
-        run = ModeRun(
-            mode=mode,
-            records=list(result.metrics.rounds),
-            trace=result.trace,
-            fingerprints=fingerprints,
-            edges=result.network.edges,
-            summary=summary,
-        )
-        return run, outcomes
-    if mode != "sharded":
-        raise ValueError(f"unknown differential mode {mode!r}; choose from {DEFAULT_MODES}")
-
-    plan = build_fault_plan(
-        spec.faults, n=spec.n, seed=spec.seed, params=spec.fault_params
+    result, outcomes = run_reference(spec, engine_mode=mode, checks=checks)
+    fingerprints = {v: algo.state_fingerprint() for v, algo in result.nodes.items()}
+    summary = _summary_of(result.metrics, result.bandwidth, spec.n, result.network.num_edges)
+    if result.faults is not None:
+        # Fault statistics (drops, resets, masked edges) join the gated
+        # summary: every engine mode must realize the identical fault
+        # schedule, not just identical records.
+        summary.update({key: float(v) for key, v in result.faults.stats.items()})
+    run = ModeRun(
+        mode=mode,
+        records=list(result.metrics.rounds),
+        trace=result.trace,
+        fingerprints=fingerprints,
+        edges=result.network.edges,
+        summary=summary,
     )
-    inner = _build_cell_adversary(spec)
-    if plan is not None and plan.affects_topology:
-        # Trace recording wraps *outside* the overlay so the recorded trace
-        # is the physical post-fault schedule -- comparable 1:1 with the
-        # serial engines' traces.
-        inner = FaultOverlayAdversary(inner, spec.n, plan)
-    adversary = TraceRecordingAdversary(inner, spec.n)
-    bandwidth = BandwidthPolicy(factor=spec.bandwidth_factor, strict=spec.strict_bandwidth)
-    with ShardedRoundEngine(
-        spec.n,
-        ALGORITHMS[spec.algorithm],
-        num_workers=spec.num_workers,
-        bandwidth=bandwidth,
-        mode="sparse",
-        faults=plan,
-    ) as engine:
-        drive_engine(engine, adversary, num_rounds=spec.rounds, drain=spec.drain)
-        fingerprints = engine.state_fingerprints()
-        summary = _summary_of(engine.metrics, bandwidth, spec.n, engine.network.num_edges)
-        if plan is not None:
-            summary.update({key: float(v) for key, v in plan.stats.items()})
-        run = ModeRun(
-            mode=mode,
-            records=list(engine.metrics.rounds),
-            trace=adversary.trace,
-            fingerprints=fingerprints,
-            edges=engine.network.edges,
-            summary=summary,
-        )
-    return run, {}
+    return run, outcomes
 
 
 # --------------------------------------------------------------------- #
@@ -395,12 +347,11 @@ def run_differential(
     """Run ``spec`` under every mode in ``modes`` and compare the runs.
 
     Args:
-        spec: the cell to verify; its ``engine`` / ``engine_mode`` fields are
-            ignored (the modes argument decides what runs).
-        modes: two or more of ``"dense"``, ``"sparse"``, ``"sharded"``,
-            ``"columnar"``.  The first *serial* mode acts as the reference
-            leg and is the one the checks run on (checks need direct access
-            to node instances).
+        spec: the cell to verify; its ``engine_mode`` field is ignored (the
+            modes argument decides what runs).
+        modes: two or more of ``"dense"``, ``"sparse"``, ``"columnar"``.
+            The first mode acts as the reference leg and is the one the
+            checks run on.
         checks: check names to run; defaults to ``spec.checks``.
         auto_checks: select every applicable registered check instead.
 
@@ -413,6 +364,9 @@ def run_differential(
         raise ValueError("differential verification needs at least two modes")
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
+    unknown = [mode for mode in modes if mode not in ENGINE_MODES]
+    if unknown:
+        raise ValueError(f"unknown differential modes {unknown}; choose from {ENGINE_MODES}")
     if auto_checks:
         # Result checks grade against fault-free semantics (reliable
         # delivery, no state loss), so auto-selection skips fault cells --
@@ -423,15 +377,12 @@ def run_differential(
         )
     else:
         check_names = tuple(spec.checks if checks is None else checks)
-    serial_modes = [m for m in modes if m in _SERIAL_MODES]
-    check_mode = serial_modes[0] if serial_modes else None
-
     runs: Dict[str, ModeRun] = {}
     outcomes: Dict[str, CheckOutcome] = {}
     for mode in modes:
         with TELEMETRY.span(f"differential.run.{mode}"):
             run, mode_outcomes = _run_mode(
-                spec, mode, check_names if mode == check_mode else ()
+                spec, mode, check_names if mode == modes[0] else ()
             )
         runs[mode] = run
         outcomes.update(mode_outcomes)
@@ -461,12 +412,12 @@ def normalize_cell(spec: ExperimentSpec) -> ExperimentSpec:
     """Strip engine-selection axes from a cell for differential verification.
 
     The harness decides which engines run, so two campaign cells differing
-    only in ``engine`` / ``engine_mode`` / ``record_trace`` verify as one.
+    only in ``engine_mode`` / ``record_trace`` verify as one.
     The ``checks`` field is cleared too: the verifier auto-selects every
     applicable registered check.
     """
     data = spec.to_dict()
-    data.update(engine="serial", engine_mode="sparse", record_trace=True, checks=[])
+    data.update(engine_mode="sparse", record_trace=True, checks=[])
     return ExperimentSpec.from_dict(data)
 
 

@@ -10,7 +10,7 @@ Used by the property-based tests to generate
   random churn adversary, and small sizes/budgets that keep each example fast.
 
 The spec strategy is what the engine differential property tests (dense vs
-sparse vs sharded vs columnar, optionally under fault models and telemetry)
+sparse vs columnar, optionally under fault models and telemetry)
 feed to :func:`repro.verification.run_differential`.
 """
 
@@ -121,7 +121,6 @@ def experiment_specs(draw, max_n: int = 9, with_faults: bool = False):
             adversary="scripted",
             n=n,
             adversary_params={"trace": schedule_to_trace(n, rounds)},
-            num_workers=draw(st.integers(min_value=2, max_value=3)),
             **fault_kwargs,
         )
     adversary = draw(st.sampled_from(("churn", "p2p")))
@@ -138,6 +137,5 @@ def experiment_specs(draw, max_n: int = 9, with_faults: bool = False):
         rounds=draw(st.integers(min_value=1, max_value=25)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         adversary_params=params,
-        num_workers=draw(st.integers(min_value=2, max_value=3)),
         **fault_kwargs,
     )

@@ -276,7 +276,7 @@ class TestVerifySubcommand:
 
     def test_parser_defaults(self, spec_file):
         args = build_verify_parser().parse_args(["--spec", str(spec_file)])
-        assert args.modes == "dense,sparse,sharded,columnar"
+        assert args.modes == "dense,sparse,columnar"
         assert not args.no_coverage and not args.require_all_checks
 
     def test_verify_dedupes_engine_axis_and_passes(self, spec_file, capsys):
@@ -343,3 +343,57 @@ class TestEngineFlag:
         assert main(argv + ["--engine", "sparse"]) == 0
         sparse_out = capsys.readouterr().out
         assert dense_out == sparse_out
+
+
+class TestLegacyShardedSpec:
+    @pytest.fixture
+    def spec_file(self, tmp_path):
+        spec = {
+            "name": "legacy-sharded",
+            "base": {"algorithm": "triangle", "adversary": "churn", "n": 10, "rounds": 5},
+            "grid": {"workload": [{"engine": "sharded", "num_workers": 2}]},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return path
+
+    @pytest.mark.parametrize("command", ["campaign", "verify"])
+    def test_exits_2_naming_the_removal(self, command, spec_file, tmp_path, capsys):
+        code = main([command, "--spec", str(spec_file), *(
+            ["--out", str(tmp_path / "store")] if command == "campaign" else []
+        )])
+        assert code == 2
+        assert "sharded engine was removed" in capsys.readouterr().err
+
+
+#: Malformed trace files and the part of each error message that locates it.
+MALFORMED_TRACES = [
+    pytest.param({"n": 4, "rounds": [{"insert": [[0, 1]]}]},
+                 "round 1 has no 'delete' list", id="missing-delete"),
+    pytest.param({"n": 4, "rounds": [{"insert": [], "delete": []}, {"insert": [[0]], "delete": []}]},
+                 "round 2: 'insert' edge [0]", id="one-endpoint"),
+    pytest.param({"n": 4, "rounds": [{"insert": [[0, 0]], "delete": []}]},
+                 "round 1: 'insert' edge [0, 0]", id="self-loop"),
+    pytest.param([{"insert": [[0, 1]], "delete": []}],
+                 "a trace must be a JSON object, got list", id="top-level-list"),
+]
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize("data,message", MALFORMED_TRACES)
+    def test_single_run_exits_2(self, data, message, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        code = main(["--adversary", "scripted", "--trace", str(path), "--nodes", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(path) in err
+
+    @pytest.mark.parametrize("data,message", MALFORMED_TRACES)
+    def test_serve_exits_2(self, data, message, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        code = main(["serve", "--source", "trace", "--trace", str(path), "--nodes", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -140,7 +140,7 @@ class TestColumnarIdentity:
             adversary_params=dict(CHURN),
         )
         report = run_differential(
-            spec, modes=("dense", "sparse", "sharded", "columnar"), auto_checks=True
+            spec, modes=("dense", "sparse", "columnar"), auto_checks=True
         )
         assert report.ok, report.describe()
 
@@ -264,13 +264,15 @@ class TestEngineConstructionValidation:
 
 class TestSpecRejectsShardedColumnar:
     def test_sharded_engine_columnar_mode_rejected(self):
-        with pytest.raises(ValueError, match="columnar.*requires engine='serial'"):
-            ExperimentSpec(
-                algorithm="triangle",
-                adversary="churn",
-                n=8,
-                engine="sharded",
-                engine_mode="columnar",
+        with pytest.raises(ValueError, match="sharded engine was removed"):
+            ExperimentSpec.from_dict(
+                {
+                    "algorithm": "triangle",
+                    "adversary": "churn",
+                    "n": 8,
+                    "engine": "sharded",
+                    "engine_mode": "columnar",
+                }
             )
 
 
@@ -369,7 +371,7 @@ class TestQuietRoundFastPath:
 
 
 class TestFuzzCorpusAcrossAllModes:
-    """Every committed fuzz reproducer passes the four-way differential."""
+    """Every committed fuzz reproducer passes the three-way differential."""
 
     def test_corpus_entries_identical_across_modes(self):
         from pathlib import Path
@@ -381,6 +383,6 @@ class TestFuzzCorpusAcrossAllModes:
         assert entries, "committed corpus unexpectedly empty"
         for entry in entries:
             report = run_differential(
-                entry.spec(), modes=("dense", "sparse", "sharded", "columnar")
+                entry.spec(), modes=("dense", "sparse", "columnar")
             )
             assert report.ok, (entry.entry_id, report.describe())

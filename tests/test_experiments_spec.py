@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import CampaignSpec, ExperimentSpec
+
+FIXTURE_RESULTS = Path(__file__).parent / "data" / "campaign_store" / "results.jsonl"
 
 
 class TestExperimentSpecRoundTrip:
@@ -54,12 +60,12 @@ class TestExperimentSpecValidation:
             ExperimentSpec(checks=("magic",))
 
     def test_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            ExperimentSpec(engine="quantum")
+        with pytest.raises(ValueError, match="engine 'quantum' is no longer supported"):
+            ExperimentSpec.from_dict({"engine": "quantum"})
 
     def test_checks_require_serial_engine(self):
-        with pytest.raises(ValueError, match="serial"):
-            ExperimentSpec(engine="sharded", checks=("consistent",))
+        with pytest.raises(ValueError, match="sharded engine was removed"):
+            ExperimentSpec.from_dict({"engine": "sharded", "checks": ["consistent"]})
 
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -80,6 +86,43 @@ class TestCellId:
     def test_readable_prefix(self):
         spec = ExperimentSpec(algorithm="clique", adversary="p2p", n=33, seed=7)
         assert spec.cell_id.startswith("clique-p2p-n33-s7-")
+
+
+class TestLegacyEngineFields:
+    """The ``engine``/``num_workers`` fields left the schema; ids did not move."""
+
+    def test_schema_has_fourteen_fields(self):
+        names = {f.name for f in fields(ExperimentSpec)}
+        assert len(names) == 14
+        assert not names & {"engine", "num_workers"}
+        assert not set(ExperimentSpec().to_dict()) & {"engine", "num_workers"}
+
+    def test_ids_pinned_to_the_old_canonical_form(self):
+        # Values computed before the two fields were removed.
+        assert ExperimentSpec().cell_id == "triangle-churn-n16-s0-b01ee9e158"
+        spec = ExperimentSpec(
+            algorithm="robust2hop", adversary="p2p", n=40, seed=3,
+            engine_mode="columnar", checks=("consistent",),
+        )
+        assert spec.spec_hash == "903696db50ab0cc8273e1b730b4b1cb065bc7998"
+
+    def test_stored_records_rebuild_their_cell_ids(self):
+        records = [json.loads(line) for line in FIXTURE_RESULTS.read_text().splitlines()]
+        assert records
+        for record in records:
+            assert record["spec"]["engine"] == "serial"
+            spec = ExperimentSpec.from_dict(record["spec"])
+            assert spec.cell_id == record["cell_id"]
+
+    def test_legacy_serial_fields_are_accepted_and_dropped(self):
+        spec = ExperimentSpec.from_dict({"n": 12, "engine": "serial", "num_workers": 2})
+        assert spec == ExperimentSpec(n=12)
+        assert ExperimentSpec.from_dict({"n": 12, "num_workers": 4}) == spec
+
+    def test_sharded_grid_axis_names_the_removal(self):
+        campaign = CampaignSpec(name="t", base={"rounds": 5}, grid={"engine": ["serial", "sharded"]})
+        with pytest.raises(ValueError, match="sharded engine was removed"):
+            campaign.expand()
 
 
 class TestGridExpansion:

@@ -1,7 +1,7 @@
 """Tests for the fault-injection subsystem: models, plan, overlay, engines.
 
 The acceptance gate of the fault work lives here too: a grid of fault models
-must run bit-identically across the dense, sparse and sharded engines, with
+must run bit-identically across the dense, sparse and columnar engines, with
 the fault statistics part of the gated summary.
 """
 
@@ -25,7 +25,7 @@ from repro.faults.models import (
 from repro.faults.overlay import FaultOverlayAdversary
 from repro.verification import run_differential
 
-ALL_MODES = ("dense", "sparse", "sharded")
+ALL_MODES = ("dense", "sparse", "columnar")
 
 
 class TestRegistry:
@@ -104,7 +104,7 @@ class TestModelDeterminism:
     def test_burst_loss_is_call_order_independent(self):
         # The Gilbert-Elliott chain advances with a lazy cursor, but the state
         # at any round must not depend on the query pattern: the engines ask
-        # in different orders (the sharded workers each ask for their shard).
+        # in different orders (dense asks every node, sparse only active ones).
         forward = GilbertElliottLoss(8, seed=3, p_enter=0.3, p_exit=0.3)
         scattered = GilbertElliottLoss(8, seed=3, p_enter=0.3, p_exit=0.3)
         rounds = list(range(1, 20))

@@ -58,6 +58,12 @@ class TestCorpusEntry:
         with pytest.raises(ValueError, match="expect"):
             ghost_entry(expect="maybe")
 
+    def test_rejects_the_removed_sharded_mode(self):
+        data = ghost_entry().to_dict()
+        data["modes"] = ["dense", "sparse", "sharded"]
+        with pytest.raises(ValueError, match=r"unknown engine modes \['sharded'\]"):
+            CorpusEntry.from_dict(data)
+
     def test_spec_is_a_valid_scripted_cell(self):
         spec = ghost_entry().spec()
         assert spec.adversary == "scripted"
@@ -182,7 +188,7 @@ class TestCommittedCorpus:
                 f"{entry.entry_id}: committed reproducers must stay one-screen "
                 f"({entry.num_rounds} rounds)"
             )
-            assert set(entry.modes) == {"dense", "sparse", "sharded"}
+            assert set(entry.modes) == {"dense", "sparse", "columnar"}
 
     def test_corpus_replays_green_across_all_three_engines(self):
         store = CorpusStore(COMMITTED_CORPUS)

@@ -1,8 +1,8 @@
-"""Tests for the high-level DynamicGraphMonitor API."""
+"""Tests for the application-facing ServingMonitor API."""
 
 import pytest
 
-from repro import DynamicGraphMonitor, MonitorAnswer
+from repro import MonitorAnswer, ServingMonitor
 from repro.core import QueryResult, TriangleMembershipNode
 from repro.oracle import triangles_containing
 
@@ -23,35 +23,31 @@ class TestMonitorAnswer:
 class TestConstruction:
     def test_named_structures(self):
         for name in ("robust2hop", "triangle", "clique", "robust3hop", "cycles", "twohop"):
-            monitor = DynamicGraphMonitor(6, structure=name)
+            monitor = ServingMonitor(6, structure=name)
             assert monitor.structure_name == name
 
     def test_custom_factory(self):
-        monitor = DynamicGraphMonitor(6, structure=TriangleMembershipNode)
+        monitor = ServingMonitor(6, structure=TriangleMembershipNode)
         assert monitor.structure_name == "TriangleMembershipNode"
 
     def test_unknown_structure_rejected(self):
         with pytest.raises(ValueError):
-            DynamicGraphMonitor(6, structure="magic")
+            ServingMonitor(6, structure="magic")
 
     def test_serial_engine_modes_accepted(self):
         for mode in ("dense", "sparse", "columnar"):
-            monitor = DynamicGraphMonitor(6, engine_mode=mode)
+            monitor = ServingMonitor(6, engine_mode=mode)
             assert monitor.engine_mode == mode
 
     def test_sharded_engine_rejected_at_construction(self):
+        # The removed process-parallel mode is rejected like any unknown one.
         with pytest.raises(ValueError, match="sharded"):
-            DynamicGraphMonitor(6, engine_mode="sharded")
-
-    def test_is_a_serving_monitor(self):
-        from repro.serve import ServingMonitor
-
-        assert issubclass(DynamicGraphMonitor, ServingMonitor)
+            ServingMonitor(6, engine_mode="sharded")
 
 
 class TestTriangleAndCliqueQueries:
     def test_triangle_lifecycle(self):
-        monitor = DynamicGraphMonitor(8, structure="clique")
+        monitor = ServingMonitor(8, structure="clique")
         monitor.update(insert=[(0, 1), (1, 2)])
         monitor.update(insert=[(0, 2)])
         monitor.settle()
@@ -63,7 +59,7 @@ class TestTriangleAndCliqueQueries:
         assert monitor.is_triangle(0, 1, 2).value is False
 
     def test_answers_can_be_indefinite_mid_propagation(self):
-        monitor = DynamicGraphMonitor(8, structure="clique")
+        monitor = ServingMonitor(8, structure="clique")
         monitor.update(insert=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)])
         # Right after a burst some node is still propagating.
         answers = [monitor.is_triangle(0, 1, 2, ask=v) for v in (0, 1, 2)]
@@ -72,7 +68,7 @@ class TestTriangleAndCliqueQueries:
         assert monitor.is_triangle(0, 1, 2).definite
 
     def test_clique_queries(self):
-        monitor = DynamicGraphMonitor(8, structure="clique")
+        monitor = ServingMonitor(8, structure="clique")
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         for edge in edges:
             monitor.update(insert=[edge])
@@ -81,7 +77,7 @@ class TestTriangleAndCliqueQueries:
         assert monitor.cliques_of(0, 4) == {frozenset({0, 1, 2, 3})}
 
     def test_enumeration_matches_oracle(self):
-        monitor = DynamicGraphMonitor(10, structure="triangle")
+        monitor = ServingMonitor(10, structure="triangle")
         import numpy as np
 
         rng = np.random.default_rng(5)
@@ -102,7 +98,7 @@ class TestTriangleAndCliqueQueries:
             assert monitor.triangles_of(v) == triangles_containing(monitor.edges, v)
 
     def test_enumeration_requires_capable_structure(self):
-        monitor = DynamicGraphMonitor(6, structure="robust2hop")
+        monitor = ServingMonitor(6, structure="robust2hop")
         with pytest.raises(TypeError):
             monitor.triangles_of(0)
         with pytest.raises(TypeError):
@@ -111,7 +107,7 @@ class TestTriangleAndCliqueQueries:
 
 class TestCycleQueries:
     def test_collective_cycle_listing(self):
-        monitor = DynamicGraphMonitor(8, structure="cycles")
+        monitor = ServingMonitor(8, structure="cycles")
         for edge in [(0, 1), (1, 2), (2, 3), (0, 3)]:
             monitor.update(insert=[edge])
         monitor.settle()
@@ -123,12 +119,12 @@ class TestCycleQueries:
         # Regression: this used to surface as a bare AttributeError from
         # getattr(node, "knows_cycle_set") instead of the clear TypeError the
         # other capability-gated helpers raise.
-        monitor = DynamicGraphMonitor(8, structure="robust2hop")
+        monitor = ServingMonitor(8, structure="robust2hop")
         with pytest.raises(TypeError, match="cycle-listing"):
             monitor.list_cycle([0, 1, 2, 3])
 
     def test_cycles_of_enumeration(self):
-        monitor = DynamicGraphMonitor(8, structure="cycles")
+        monitor = ServingMonitor(8, structure="cycles")
         for edge in [(0, 1), (1, 2), (2, 3), (0, 3)]:
             monitor.update(insert=[edge])
         monitor.settle()
@@ -140,7 +136,7 @@ class TestCycleQueries:
 
 class TestBookkeeping:
     def test_edges_and_metrics(self):
-        monitor = DynamicGraphMonitor(6, structure="robust2hop")
+        monitor = ServingMonitor(6, structure="robust2hop")
         monitor.update(insert=[(0, 1)])
         monitor.update(insert=[(1, 2)], delete=[(0, 1)])
         monitor.settle()
@@ -151,12 +147,12 @@ class TestBookkeeping:
         assert 0 <= monitor.amortized_round_complexity <= 1.0
 
     def test_fresh_monitor_is_consistent(self):
-        monitor = DynamicGraphMonitor(4)
+        monitor = ServingMonitor(4)
         assert monitor.all_consistent
         assert monitor.is_node_consistent(0)
 
     def test_knows_edge_query(self):
-        monitor = DynamicGraphMonitor(6, structure="robust2hop")
+        monitor = ServingMonitor(6, structure="robust2hop")
         monitor.update(insert=[(0, 1)])
         monitor.update(insert=[(1, 2)])
         monitor.settle()
@@ -178,7 +174,7 @@ class TestEngineIdentity:
     ]
 
     def _drive(self, mode):
-        monitor = DynamicGraphMonitor(8, structure="triangle", engine_mode=mode)
+        monitor = ServingMonitor(8, structure="triangle", engine_mode=mode)
         answers = []
         for batch in self.STREAM:
             monitor.update(**batch)

@@ -3,7 +3,7 @@
 The hard constraint of the observability subsystem: with telemetry (and even
 a profiler) enabled, every engine produces bit-identical results -- same
 metrics, same realized traces, same final state fingerprints -- as a plain
-run.  These tests pin that across the dense, sparse and sharded engines, and
+run.  These tests pin that across the dense and sparse engines, and
 cover the campaign-runner plumbing that carries the settings into worker
 processes.
 """
@@ -26,7 +26,6 @@ from repro.obs import TELEMETRY, load_final_snapshot
 ENGINE_CONFIGS = [
     pytest.param({"engine_mode": "dense"}, id="dense"),
     pytest.param({"engine_mode": "sparse"}, id="sparse"),
-    pytest.param({"engine": "sharded", "num_workers": 2}, id="sharded"),
 ]
 
 

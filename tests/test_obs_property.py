@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the observability merge algebra.
 
-Cross-process collection only works if merging is insensitive to *how* the
-pieces arrive: shard counts, pipe arrival order and coordinator batching all
-vary run to run, yet ``telemetry report`` must not.  So the merge primitives
+Folding campaign workers' snapshots only works if merging is insensitive to
+*how* the pieces arrive: worker counts, pipe arrival order and coordinator
+batching all vary run to run, yet ``telemetry report`` must not.  So the merge primitives
 need real algebraic properties:
 
 * ``Histogram.merge`` is associative and commutative (fixed shared buckets
@@ -76,8 +76,8 @@ class TestHistogramMergeAlgebra:
 
 # One process's worth of telemetry, as strategy-built snapshot dicts.
 metric_names = st.sampled_from(
-    ["engine.round", "engine.compute", "engine.worker.compute",
-     "engine.worker.deliver", "serve.ingest"]
+    ["engine.round", "engine.compute", "engine.deliver",
+     "engine.query", "serve.ingest"]
 )
 snapshots = st.builds(
     lambda spans, counters, sizes: _snapshot_dict(spans, counters, sizes),

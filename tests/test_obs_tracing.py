@@ -5,8 +5,8 @@ context doubles as a trace slice when a :class:`TraceBuffer` is attached,
 and stays a plain timer (one attribute check) when it is not.  These tests
 pin the ring-buffer semantics, the JSONL interchange format (including the
 sink-style torn-line tolerance), the Chrome trace-event export, and the
-PR-6 invariant extended to tracing: a traced run is bit-identical to a
-plain run across all four engine modes.
+invariant extended to tracing: a traced run is bit-identical to a plain run
+across all three engine modes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ ENGINE_CONFIGS = [
     pytest.param({"engine_mode": "dense"}, id="dense"),
     pytest.param({"engine_mode": "sparse"}, id="sparse"),
     pytest.param({"engine_mode": "columnar"}, id="columnar"),
-    pytest.param({"engine": "sharded", "num_workers": 2}, id="sharded"),
 ]
 
 
@@ -54,13 +53,12 @@ class TestTraceBuffer:
         assert event["round"] == 7
         assert event["mode"] == "dense"
 
-    def test_mode_and_worker_default_to_buffer_attributes(self):
-        buffer = _anchored(engine_mode="sparse", worker=2)
+    def test_mode_defaults_to_buffer_attribute(self):
+        buffer = _anchored(engine_mode="sparse")
         buffer.add("a", 0.0, 1.0)
-        buffer.add("b", 0.0, 1.0, mode="sharded", worker=0)
+        buffer.add("b", 0.0, 1.0, mode="columnar")
         events = buffer.events()
-        assert (events[0]["mode"], events[0]["worker"]) == ("sparse", 2)
-        assert (events[1]["mode"], events[1]["worker"]) == ("sharded", 0)
+        assert [event["mode"] for event in events] == ["sparse", "columnar"]
 
     def test_negative_duration_clamped_to_zero(self):
         buffer = _anchored()
@@ -82,25 +80,6 @@ class TestTraceBuffer:
         clone = TraceBuffer.from_dict(json.loads(json.dumps(buffer.to_dict())))
         assert clone.events() == buffer.events()
         assert clone.cell_id == "cell-a"
-
-    def test_extend_from_dict_keeps_remote_wall_clock(self):
-        remote = _anchored(worker=1)
-        remote.add("engine.worker.compute", 2.0, 3.0)
-        local = _anchored()
-        local.wall0 = 2000.0  # a different clock frame than the remote
-        absorbed = local.extend_from_dict(remote.to_dict())
-        assert absorbed == 1
-        (event,) = local.events()
-        assert event["ts"] == pytest.approx(1002.0)
-        assert event["worker"] == 1
-
-    def test_extend_accumulates_dropped(self):
-        remote = _anchored(capacity=1)
-        remote.add("a", 0.0, 1.0)
-        remote.add("b", 0.0, 1.0)
-        local = _anchored()
-        local.extend_from_dict(remote.to_dict())
-        assert local.dropped == 1
 
 
 class TestTraceJsonl:
@@ -136,25 +115,37 @@ class TestTraceJsonl:
 
 class TestChromeExport:
     def test_chrome_trace_shape(self):
-        coordinator = _anchored(cell_id="c")
-        coordinator.add("engine.round", 1.0, 2.0, mode="sharded")
-        worker = _anchored(worker=0)
-        worker.add("engine.worker.compute", 1.2, 1.8)
-        doc = chrome_trace(
-            {"c": coordinator.events(), "c-worker": worker.events()}
-        )
+        first = _anchored(cell_id="a")
+        first.add("engine.round", 1.0, 2.0, mode="sparse")
+        second = _anchored(cell_id="b")
+        second.add("engine.compute", 1.2, 1.8)
+        doc = chrome_trace({"a": first.events(), "b": second.events()})
         assert doc["displayTimeUnit"] == "ms"
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert len(complete) == 2
-        assert meta, "expected process/thread metadata events"
+        assert meta, "expected process metadata events"
         assert all(e["ts"] >= 0 for e in complete)
         assert all(e["dur"] >= 0 for e in complete)
-        # Worker events land on tid worker+1, coordinator events on tid 0.
-        tids = {e["name"]: e["tid"] for e in complete}
-        assert tids["engine.round"] == 0
-        assert tids["engine.worker.compute"] == 1
+        # One pid per source, every slice on tid 0.
+        pids = {e["name"]: e["pid"] for e in complete}
+        assert pids["engine.round"] != pids["engine.compute"]
+        assert {e["tid"] for e in complete} == {0}
         assert {e["cat"] for e in complete} == {"engine"}
+
+    def test_trace_files_with_worker_keys_still_export(self, tmp_path):
+        lines = [
+            {"meta": {"cell_id": "old", "dropped": 0, "events": 2, "run_id": None}},
+            {"name": "engine.round", "ts": 10.0, "dur_s": 0.5, "round": 1},
+            {"name": "engine.worker.compute", "ts": 10.1, "dur_s": 0.2, "worker": 1},
+        ]
+        path = tmp_path / f"old{TRACE_SUFFIX}"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert len(read_trace_jsonl(path)) == 2
+        doc = build_chrome_trace(tmp_path)
+        complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert [e["name"] for e in complete] == ["engine.round", "engine.worker.compute"]
+        assert {e["tid"] for e in complete} == {0}
 
     def test_build_chrome_trace_errors_name_the_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=str(tmp_path / "nope")):

@@ -9,7 +9,7 @@ invariants on every one of them:
   never believes in a triangle that does not exist while it claims consistency;
 * Theorem 6 -- the robust 3-hop structure satisfies its sandwich once drained;
 * the simulator's amortized accounting never exceeds the number of rounds;
-* the dense, sparse, sharded and columnar engines produce bit-identical round
+* the dense, sparse and columnar engines produce bit-identical round
   records, traces, metrics and final node state on arbitrary cells -- with and
   without fault models and telemetry (the differential harness of
   :mod:`repro.verification`).
@@ -139,19 +139,7 @@ class TestMetricsProperties:
 
 
 class TestEngineDifferentialProperties:
-    """Random cells through the differential harness: all four engines must agree."""
-
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-    @given(spec=experiment_specs())
-    def test_dense_sparse_sharded_identical(self, spec):
-        report = run_differential(
-            spec, modes=("dense", "sparse", "sharded"), auto_checks=True
-        )
-        assert report.ok, report.describe()
+    """Random cells through the differential harness: all three engines must agree."""
 
     @settings(
         max_examples=12,
@@ -172,7 +160,7 @@ class TestEngineDifferentialProperties:
     )
     @given(spec=experiment_specs(with_faults=True), telemetry=st.booleans())
     def test_all_modes_faults_telemetry_identical(self, spec, telemetry):
-        """The full matrix: four engines x (maybe) a fault model x telemetry.
+        """The full matrix: three engines x (maybe) a fault model x telemetry.
 
         Fingerprint identity must hold with the telemetry singleton enabled
         (which also disables the columnar quiet-round fast path, covering
@@ -180,7 +168,7 @@ class TestEngineDifferentialProperties:
         """
         from repro.obs import TELEMETRY
 
-        modes = ("dense", "sparse", "sharded", "columnar")
+        modes = ("dense", "sparse", "columnar")
         if telemetry:
             TELEMETRY.enable()
         try:

@@ -185,6 +185,7 @@ class TestServeCLI:
         assert "out of range" in err
 
     def test_serve_rejects_sharded_engine(self):
+        # The removed process-parallel mode is not a --engine choice.
         with pytest.raises(SystemExit):
             main(["serve", "--engine", "sharded", "--nodes", "8"])
 

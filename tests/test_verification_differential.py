@@ -49,23 +49,15 @@ class TestStateFingerprint:
 
         assert state_fingerprint(Bag([1, 2, 3])) == state_fingerprint(Bag([3, 1, 2]))
 
-    def test_sharded_fingerprints_match_serial(self):
-        spec = ExperimentSpec(**CHURN_CELL, num_workers=2)
-        serial, _ = run_reference(spec)
-        run, _ = _run_mode(spec, "sharded", ())
-        assert run.fingerprints == {
-            v: algo.state_fingerprint() for v, algo in serial.nodes.items()
-        }
-
 
 class TestRunDifferential:
     def test_ok_across_all_modes(self):
-        spec = ExperimentSpec(**CHURN_CELL, num_workers=2)
+        spec = ExperimentSpec(**CHURN_CELL)
         report = run_differential(spec, auto_checks=True)
         assert report.ok
-        assert report.modes == ("dense", "sparse", "sharded", "columnar")
+        assert report.modes == ("dense", "sparse", "columnar")
         assert "triangle_oracle" in report.executed_checks
-        assert set(report.summaries) == {"dense", "sparse", "sharded", "columnar"}
+        assert set(report.summaries) == {"dense", "sparse", "columnar"}
         # The report serializes cleanly for --report files.
         json.dumps(report.to_dict())
 
