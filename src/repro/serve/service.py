@@ -11,7 +11,10 @@ batch it:
 3. asks the :class:`~repro.serve.subscriptions.SubscriptionRegistry` to
    re-evaluate exactly the standing queries whose r-hop ball was touched,
    collecting the fired :class:`~repro.serve.subscriptions.AnswerChanged`
-   notifications.
+   notifications.  The registry indexes subscriptions by watched node per
+   radius and keeps the still-settling ones on a dirty list, so this step
+   walks the ball once per radius in use and evaluates the dirty list only:
+   its cost follows the touched subscriptions, not the number registered.
 
 :meth:`MonitorService.run` drains an :class:`~repro.serve.ingest.EventSource`
 through that pipeline and returns a :class:`ServingReport` with throughput,

@@ -8,14 +8,26 @@ re-answers after every ingested batch and that fires a typed
 Re-evaluating every subscription every round would defeat the paper's whole
 point (answers are maintained *incrementally* under churn), so the registry
 piggybacks on the oracle's dirty-region versioning
-(:meth:`repro.oracle.GroundTruthOracle.last_changed_ball`): after a batch,
-only subscriptions with a watched node inside the r-hop ball of that batch's
-changes are marked dirty, and only dirty subscriptions are evaluated.  A
-dirty subscription stays under evaluation until it has produced
-``settle_streak`` consecutive *definite* answers -- covering both the
-propagation window of the distributed structures and the robustness window
-in which an untouched edge's robust-set membership can still change -- and
-then goes quiet until the next touch.
+(:meth:`repro.oracle.GroundTruthOracle.last_changed_ball`) and keeps two
+structures that make a batch cost the touched subscriptions, not all of them:
+
+* a **watcher index**, radius -> watched node -> the subscriptions watching
+  that node at that radius.  After a batch the registry walks the r-hop ball
+  of the batch's changes once per radius in use and marks the watchers it
+  finds as touched (a cycle subscription sits in one bucket per member but
+  is marked, and evaluated, at most once);
+* a **dirty list** of the subscriptions still settling, keyed by
+  registration sequence number.  Only it is evaluated, in registration
+  order.  A dirty subscription stays on it until it has produced
+  ``settle_streak`` consecutive *definite* answers -- covering both the
+  propagation window of the distributed structures and the robustness
+  window in which an untouched edge's robust-set membership can still
+  change -- and then goes quiet until the next touch.
+
+The dirty list is the one source of truth for "dirty":
+:attr:`Subscription.dirty` reads membership in it.  A quiet round with a
+settled registry therefore evaluates nothing and visits nothing, whatever
+the number of subscribers.
 
 Everything here is derived from engine-independent state (the ground-truth
 graph via the oracle, node answers via the monitor), so the full
@@ -27,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..obs.telemetry import TELEMETRY
 from .core import MonitorAnswer, ServingMonitor
@@ -87,7 +99,11 @@ class AnswerChanged:
 
 
 class Subscription:
-    """One standing query: watched nodes, dirty-region radius, evaluator."""
+    """One standing query: watched nodes, dirty-region radius, evaluator.
+
+    ``seq`` is the registration sequence number the registry orders
+    evaluation by; :attr:`dirty` is owned by the registry's dirty list.
+    """
 
     __slots__ = (
         "subscription_id",
@@ -97,9 +113,10 @@ class Subscription:
         "radius",
         "_evaluate",
         "answer",
-        "dirty",
         "definite_streak",
         "evaluations",
+        "seq",
+        "_dirty_list",
     )
 
     def __init__(
@@ -117,9 +134,15 @@ class Subscription:
         self.radius = _KIND_RADIUS[kind]
         self._evaluate = evaluate
         self.answer: Optional[MonitorAnswer] = None
-        self.dirty = True  # evaluated at the next opportunity
         self.definite_streak = 0
         self.evaluations = 0
+        self.seq = 0
+        self._dirty_list: Container[int] = frozenset()  # set on registration
+
+    @property
+    def dirty(self) -> bool:
+        """Whether the next batch re-evaluates this subscription."""
+        return self.seq in self._dirty_list
 
     def evaluate(self, monitor: ServingMonitor) -> MonitorAnswer:
         self.evaluations += 1
@@ -144,10 +167,15 @@ def _build_evaluator(
             raise ValueError(f"{label} must be an integer in [0, {n}), got {x!r}")
         return x
 
+    def required(field):
+        if field not in params:
+            raise ValueError(f"{kind} subscriptions need a {field!r} field")
+        return params.pop(field)
+
     if kind == "edge":
-        node = check_node(params.pop("node"))
-        u = check_node(params.pop("u"), "u")
-        w = check_node(params.pop("w"), "w")
+        node = check_node(required("node"))
+        u = check_node(required("u"), "u")
+        w = check_node(required("w"), "w")
         if params:
             raise ValueError(f"unexpected edge-subscription params: {sorted(params)}")
         return (
@@ -156,7 +184,9 @@ def _build_evaluator(
             lambda m: m.knows_edge(node, u, w),
         )
     if kind in ("triangle", "clique", "cycle"):
-        members = params.pop("members")
+        members = required("members")
+        if not isinstance(members, (list, tuple)):
+            raise ValueError(f"'members' must be a list of node ids, got {members!r}")
         members = tuple(check_node(x, "member") for x in members)
         member_set = frozenset(members)
         if kind == "triangle" and len(member_set) != 3:
@@ -210,6 +240,15 @@ class SubscriptionRegistry:
         self.monitor = monitor
         self.settle_streak = settle_streak
         self._subscriptions: Dict[str, Subscription] = {}
+        # radius -> watched node -> seq -> subscription; empty buckets are
+        # dropped so a batch only asks for the balls of radii in use.
+        self._watchers: Dict[int, Dict[int, Dict[int, Subscription]]] = {}
+        # seq -> id of every subscription still settling.  Ids, not the
+        # subscriptions, because each subscription refers back to this dict
+        # (Subscription.dirty): no reference cycle keeps a dropped registry's
+        # subscriptions alive for the cyclic collector.
+        self._dirty: Dict[int, str] = {}
+        self._seq = 0
         self._auto_id = 0
         self.evaluated = 0
         self.skipped = 0
@@ -226,11 +265,19 @@ class SubscriptionRegistry:
         are rejected here with a clear error instead of failing on the first
         served batch.  The registration-time answer seeds the change
         detection -- the first notification fires only when the answer
-        *moves* from it.
+        *moves* from it.  Auto ids (``sub-0001``, ...) skip ids already
+        taken by explicitly named subscriptions.
         """
-        if subscription_id is not None and subscription_id in self._subscriptions:
-            raise ValueError(f"subscription id {subscription_id!r} already registered")
-        canonical, watched, evaluate = _build_evaluator(self.monitor, kind, dict(params))
+        return self._register(kind, subscription_id, params)
+
+    def _register(self, kind: str, subscription_id: Optional[str], params: dict) -> str:
+        """:meth:`register` with the params as one dict, which it consumes."""
+        if subscription_id is not None:
+            if not isinstance(subscription_id, str):
+                raise ValueError(f"a subscription id must be a string, got {subscription_id!r}")
+            if subscription_id in self._subscriptions:
+                raise ValueError(f"subscription id {subscription_id!r} already registered")
+        canonical, watched, evaluate = _build_evaluator(self.monitor, kind, params)
         subscription = Subscription("", kind, canonical, watched, evaluate)
         try:
             subscription.answer = subscription.evaluate(self.monitor)
@@ -239,28 +286,61 @@ class SubscriptionRegistry:
                 f"the {self.monitor.structure_name!r} structure cannot answer "
                 f"{kind!r} subscriptions: {exc}"
             ) from exc
-        if subscription_id is None:
+        while subscription_id is None or subscription_id in self._subscriptions:
             self._auto_id += 1
             subscription_id = f"sub-{self._auto_id:04d}"
+        self._seq += 1
         subscription.subscription_id = subscription_id
+        subscription.seq = self._seq
+        subscription._dirty_list = self._dirty
         self._subscriptions[subscription_id] = subscription
+        by_node = self._watchers.setdefault(subscription.radius, {})
+        for node in watched:
+            bucket = by_node.get(node)
+            if bucket is None:
+                bucket = by_node[node] = {}
+            bucket[subscription.seq] = subscription
+        self._dirty[subscription.seq] = subscription_id  # evaluated at the next batch
         return subscription_id
 
     def register_all(self, specs: Iterable[dict]) -> List[str]:
-        """Register a batch of ``{"id": ..., "kind": ..., ...params}`` dicts."""
+        """Register a batch of ``{"id": ..., "kind": ..., ...params}`` dicts.
+
+        A malformed spec raises :class:`ValueError` naming its index in
+        ``specs`` (and its id, when it has one) and the offending field.
+        """
         ids = []
-        for spec in specs:
-            spec = dict(spec)
-            kind = spec.pop("kind", None)
-            if kind is None:
-                raise ValueError(f"subscription spec needs a 'kind': {spec}")
-            ids.append(self.register(kind, subscription_id=spec.pop("id", None), **spec))
+        for index, spec in enumerate(specs):
+            subscription_id = None
+            try:
+                if not isinstance(spec, dict):
+                    raise ValueError(f"must be a JSON object, got {spec!r}")
+                spec = dict(spec)
+                subscription_id = spec.pop("id", None)
+                kind = spec.pop("kind", None)
+                if kind is None:
+                    raise ValueError(f"needs a 'kind' field: {spec}")
+                ids.append(self._register(kind, subscription_id, spec))
+            except ValueError as exc:
+                where = f"subscriptions[{index}]"
+                if subscription_id is not None:
+                    where += f" (id {subscription_id!r})"
+                raise ValueError(f"{where}: {exc}") from exc
         return ids
 
     def unregister(self, subscription_id: str) -> None:
-        if subscription_id not in self._subscriptions:
+        subscription = self._subscriptions.pop(subscription_id, None)
+        if subscription is None:
             raise KeyError(subscription_id)
-        del self._subscriptions[subscription_id]
+        self._dirty.pop(subscription.seq, None)
+        by_node = self._watchers[subscription.radius]
+        for node in subscription.watched:
+            bucket = by_node[node]
+            del bucket[subscription.seq]
+            if not bucket:
+                del by_node[node]
+        if not by_node:
+            del self._watchers[subscription.radius]
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -294,15 +374,18 @@ class SubscriptionRegistry:
         notifications: List[AnswerChanged] = []
         telemetry_on = TELEMETRY.enabled
         tracer = TELEMETRY.tracer if telemetry_on else None
-        evaluated_before = self.evaluated
-        for subscription in self._subscriptions.values():
-            touched = not subscription.watched.isdisjoint(ball(subscription.radius))
-            if touched:
-                subscription.dirty = True
-                subscription.definite_streak = 0
-            if not subscription.dirty:
-                self.skipped += 1
-                continue
+        subscriptions = self._subscriptions
+        dirty = self._dirty
+        for radius, by_node in self._watchers.items():
+            for node in ball(radius):
+                watchers = by_node.get(node)
+                if watchers is not None:
+                    for seq, subscription in watchers.items():
+                        subscription.definite_streak = 0
+                        dirty[seq] = subscription.subscription_id
+        pending = sorted(dirty)
+        for seq in pending:
+            subscription = subscriptions[dirty[seq]]
             if telemetry_on:
                 start = perf_counter()
                 answer = subscription.evaluate(self.monitor)
@@ -312,7 +395,6 @@ class SubscriptionRegistry:
                     tracer.add("serve.evaluate", start, end, round_index=round_index)
             else:
                 answer = subscription.evaluate(self.monitor)
-            self.evaluated += 1
             if answer != subscription.answer:
                 notifications.append(
                     AnswerChanged(
@@ -327,15 +409,15 @@ class SubscriptionRegistry:
             if answer.definite:
                 subscription.definite_streak += 1
                 if subscription.definite_streak >= self.settle_streak:
-                    subscription.dirty = False
+                    del dirty[seq]
             else:
                 subscription.definite_streak = 0
+        self.evaluated += len(pending)
+        self.skipped += len(subscriptions) - len(pending)
         self.fired += len(notifications)
         if telemetry_on:
             # Only this round's evaluations: counting the running total here
             # would re-add every earlier round's work each round.
-            TELEMETRY.count(
-                "serve.subscriptions_evaluated", self.evaluated - evaluated_before
-            )
+            TELEMETRY.count("serve.subscriptions_evaluated", len(pending))
             TELEMETRY.count("serve.notifications", len(notifications))
         return notifications

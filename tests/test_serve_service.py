@@ -184,6 +184,26 @@ class TestServeCLI:
         err = capsys.readouterr().err
         assert "out of range" in err
 
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            ([1, 2], "error: subscriptions[0]: must be a JSON object, got 1"),
+            ([{"kind": "triangle", "members": 5}],
+             "error: subscriptions[0]: 'members' must be a list of node ids, got 5"),
+            ([{"kind": "triangle", "members": [0, 1, 2]},
+              {"id": "e", "kind": "edge", "node": 0, "w": 1}],
+             "error: subscriptions[1] (id 'e'): edge subscriptions need a 'u' field"),
+            ([{"members": [0, 1, 2]}], "error: subscriptions[0]: needs a 'kind' field"),
+        ],
+    )
+    def test_serve_malformed_subscription_spec(self, specs, message, tmp_path, capsys):
+        path = tmp_path / "subs.json"
+        path.write_text(json.dumps(specs))
+        code = main(["serve", "--source", "adversary", "--adversary", "churn",
+                     "--rounds", "3", "--nodes", "8", "--subscriptions", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_serve_rejects_sharded_engine(self):
         # The removed process-parallel mode is not a --engine choice.
         with pytest.raises(SystemExit):

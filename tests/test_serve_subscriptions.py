@@ -23,6 +23,20 @@ class TestRegistration:
         assert service.subscribe("triangle", members=[1, 2, 3]) == "sub-0002"
         assert len(service.registry) == 2
 
+    def test_auto_id_skips_an_explicitly_taken_id(self):
+        service = triangle_service()
+        service.subscribe("triangle", members=[0, 1, 2], subscription_id="sub-0001")
+        assert service.subscribe("triangle", members=[3, 4, 5]) == "sub-0002"
+        assert len(service.registry) == 2
+        assert service.registry.get("sub-0001").params["members"] == [0, 1, 2]
+        assert service.registry.get("sub-0002").params["members"] == [3, 4, 5]
+        # Both still watch their own node.
+        for _ in range(4):
+            service.tick()
+        evaluated = service.registry.evaluated
+        service.registry.evaluate_round(lambda depth: {0, 3}, 99)
+        assert service.registry.evaluated - evaluated == 2
+
     def test_failed_registration_does_not_burn_an_id(self):
         service = MonitorService(12, "robust2hop")
         with pytest.raises(ValueError, match="cannot answer 'triangle'"):
@@ -79,6 +93,20 @@ class TestRegistration:
         assert ids == ["a", "sub-0001"]
         with pytest.raises(ValueError, match="'kind'"):
             service.registry.register_all([{"members": [0, 1, 2]}])
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"id": 7, "kind": "triangle", "members": [0, 1, 2]},
+             r"subscriptions\[1\] \(id 7\): a subscription id must be a string"),
+            ({"kind": "triangle", "members": [0, 1, 2], "subscription_id": "x"},
+             r"subscriptions\[1\]: unexpected triangle-subscription params"),
+        ],
+    )
+    def test_register_all_names_the_bad_spec(self, spec, message):
+        service = triangle_service()
+        with pytest.raises(ValueError, match=message):
+            service.registry.register_all([{"kind": "triangle", "members": [0, 1, 2]}, spec])
 
     def test_registry_validates_settle_streak(self):
         monitor = ServingMonitor(6, "triangle")
